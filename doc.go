@@ -4,7 +4,7 @@
 // The public API lives in repro/warlock; the advisor pipeline and its
 // substrates live under internal/ (schema, skew, disk, workload, fragment,
 // bitmap, costmodel, alloc, rank, sim, sweep, analysis, core, apb, config).
-// internal/sweep is the what-if scenario engine: warlock.Sweep evaluates a
+// internal/sweep is the what-if scenario engine: Advisor.Sweep evaluates a
 // declarative grid of scenarios (disk counts, query-mix reweightings, skew,
 // prefetch granules, allocation schemes) through one shared, memoizing
 // pipeline, with per-scenario results bit-identical to independent Advise
@@ -46,11 +46,14 @@
 // per-fragment accumulation folds the precomputed addends in exact
 // logical fragment order — bit-identical to the naive loop it replaced
 // and O(distinct sizes) instead of O(fragments). The granule search and
-// the branch-and-bound floor share the same dedup. Around the kernel,
-// core's pipeline dispatches candidates to the worker pool in chunks,
-// each worker owns its evaluation scratch for its whole lifetime (no
-// pool contention, no cross-CPU buffer migration), and idle workers park
-// capacity tokens that a worker pricing a huge candidate borrows to
+// the branch-and-bound floor share the same dedup, and each outcome
+// table is built once per evaluator. Around the kernel, core's pipeline
+// enumerates and pre-checks the candidates into a slice, then its
+// workers claim survivor indices from a shared counter and write each
+// verdict into the candidate's slot. Each worker owns its evaluation
+// scratch for its whole lifetime (no pool contention, no cross-CPU
+// buffer migration), and a worker that runs out of candidates parks its
+// capacity token, which a worker pricing a huge candidate borrows to
 // shard the kernel fill (costmodel.Sharder) — so a few giant candidates
 // do not serialize the tail of a run. Every per-candidate computation is
 // pure and deterministically seeded; Input.Parallelism changes wall-clock

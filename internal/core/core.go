@@ -63,8 +63,9 @@ type Input struct {
 	// Candidates restricts evaluation to an explicit list; nil enumerates
 	// every point fragmentation of the schema.
 	Candidates []*fragment.Fragmentation
-	// Parallelism is the number of cost-model evaluation workers of the
-	// streaming pipeline. <= 0 uses GOMAXPROCS. Results are bit-for-bit
+	// Parallelism is the number of cost-model evaluation workers. <= 0
+	// uses GOMAXPROCS; the count is capped at the number of candidates
+	// surviving the threshold pre-check. Results are bit-for-bit
 	// identical for every value; only wall-clock time changes.
 	Parallelism int
 	// DisablePruning switches off the branch-and-bound stage that skips
@@ -85,9 +86,10 @@ type Input struct {
 	EvalCache *costmodel.Cache
 	// AllowPartial turns context cancellation into graceful degradation:
 	// instead of discarding everything and returning ctx.Err(), the
-	// pipeline stops accepting work, drains what the workers already
-	// priced, and returns a well-formed Result with Partial=true and
-	// Coverage describing how much of the candidate space was processed.
+	// workers stop claiming candidates, and the pipeline keeps what
+	// they already priced and returns a well-formed Result with
+	// Partial=true and Coverage describing how much of the candidate
+	// space was processed.
 	// A run that happens to process every candidate before noticing the
 	// cancellation is bit-identical to a normal run (Partial stays
 	// false). Which candidates a partial run covered is inherently
@@ -178,15 +180,15 @@ type Coverage struct {
 const FaultEvaluate = "core/evaluate"
 
 // StageTimings is the wall-clock breakdown of one pipeline run. The
-// pipeline is streaming — enumeration, evaluation and ranking overlap —
-// so Pipeline covers the whole concurrent drain rather than pretending
-// the stages were sequential.
+// collector ranks each evaluation as it completes, so Pipeline covers
+// enumeration, evaluation and incremental ranking together; Rank covers
+// only what runs after the last worker exits.
 type StageTimings struct {
 	// Setup covers input validation and evaluator construction
 	// (per-schema state: share vectors, skew tables).
 	Setup time.Duration
-	// Pipeline covers the streaming enumerate → prune → evaluate →
-	// collect drain across all workers.
+	// Pipeline covers enumerate → pre-check, then evaluate → collect
+	// across all workers until the last one exits.
 	Pipeline time.Duration
 	// Rank covers final result assembly and the twofold ranking.
 	Rank time.Duration
@@ -248,8 +250,8 @@ func (in *Input) Validate() error {
 }
 
 // Advise runs the WARLOCK pipeline: candidate generation, threshold
-// exclusion, parallel cost-model evaluation, and streaming twofold
-// ranking. It is AdviseContext without cancellation.
+// exclusion, parallel cost-model evaluation, and twofold ranking. It is
+// AdviseContext without cancellation.
 func Advise(in *Input) (*Result, error) {
 	return AdviseContext(context.Background(), in)
 }

@@ -46,7 +46,8 @@ func fingerprint(r *Result) resultFingerprint {
 
 // TestAdviseParallelismDeterministic: the acceptance criterion of the
 // concurrent pipeline — Advise results are bit-for-bit identical across
-// Parallelism 1, 4, 8 and GOMAXPROCS on the APB-1 preset.
+// Parallelism 1, 4, 8, GOMAXPROCS and 1024 (more workers than survivors,
+// clamped to the survivor count) on the APB-1 preset.
 func TestAdviseParallelismDeterministic(t *testing.T) {
 	base := apb1Input(t)
 	want, err := Advise(base)
@@ -56,7 +57,7 @@ func TestAdviseParallelismDeterministic(t *testing.T) {
 	if len(want.Ranked) == 0 || len(want.Evaluations) == 0 {
 		t.Fatal("baseline produced no results")
 	}
-	for _, p := range []int{1, 4, 8, runtime.GOMAXPROCS(0)} {
+	for _, p := range []int{1, 4, 8, runtime.GOMAXPROCS(0), 1024} {
 		in := apb1Input(t)
 		in.Parallelism = p
 		got, err := Advise(in)

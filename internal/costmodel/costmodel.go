@@ -374,26 +374,26 @@ func dimOutcomes(dp DimPlan, mapping skew.Mapping) [][]int {
 }
 
 // dimOutcomeSets returns the memoized outcome sets of one dimension plan.
-// Hot-path lookups take the read lock only; misses build outside any lock
-// and the first stored value wins, so every caller sees one canonical
-// (read-only) table per key.
+// Each key's table is built exactly once: the map lookup runs under
+// outMu, and concurrent callers reaching a cold key wait on its entry's
+// Once instead of each running the O(fragCard·queryCard) build.
 func (e *Evaluator) dimOutcomeSets(dp DimPlan) [][]int {
 	key := outcomeKey{kase: dp.Case, fragCard: dp.FragCard, queryCard: dp.QueryCard}
-	e.outMu.RLock()
-	sets, ok := e.outcomes[key]
-	e.outMu.RUnlock()
-	if ok {
-		return sets
-	}
-	sets = dimOutcomes(dp, e.cfg.Mapping)
 	e.outMu.Lock()
-	if old, ok := e.outcomes[key]; ok {
-		sets = old
-	} else {
-		e.outcomes[key] = sets
+	ent := e.outcomes[key]
+	if ent == nil {
+		ent = new(outcomeEntry)
+		e.outcomes[key] = ent
 	}
 	e.outMu.Unlock()
-	return sets
+	ent.once.Do(func() { ent.sets = dimOutcomes(dp, e.cfg.Mapping) })
+	if ent.sets == nil {
+		// dimOutcomes never returns nil, so the build panicked on an
+		// earlier call: fail this caller too rather than price with an
+		// empty table.
+		panic("costmodel: outcome table build failed")
+	}
+	return ent.sets
 }
 
 // Ancestor maps a value at a fine level (cardinality fineCard) to its

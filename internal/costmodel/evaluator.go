@@ -47,11 +47,11 @@ type Evaluator struct {
 	// FragCard, QueryCard) under the evaluator's fixed mapping, so a
 	// handful of distinct tables serve every (candidate, class) pair —
 	// rebuilding them per evaluation used to dominate the whole pipeline
-	// (O(fragCard·queryCard) appends and Ancestor calls per class). The
-	// cached sets are read-only; the map is read under RLock on the hot
-	// path, so lookups stay allocation-free.
-	outMu    sync.RWMutex
-	outcomes map[outcomeKey][][]int
+	// (O(fragCard·queryCard) appends and Ancestor calls per class). Each
+	// entry is built once (see dimOutcomeSets); the cached sets are
+	// read-only.
+	outMu    sync.Mutex
+	outcomes map[outcomeKey]*outcomeEntry
 	// boundStateHolder carries the lazily built LowerBound tables.
 	boundStateHolder
 }
@@ -60,6 +60,12 @@ type Evaluator struct {
 type outcomeKey struct {
 	kase                DimCase
 	fragCard, queryCard int
+}
+
+// outcomeEntry is one memoized outcome-set table, built once.
+type outcomeEntry struct {
+	once sync.Once
+	sets [][]int
 }
 
 // NewEvaluator validates the configuration and precomputes the shared
@@ -72,7 +78,7 @@ func NewEvaluator(cfg *Config) (*Evaluator, error) {
 		cfg:           cfg,
 		weights:       cfg.Mix.NormalizedWeights(),
 		capacityPages: cfg.Disk.CapacityBytes / int64(cfg.Disk.PageSize),
-		outcomes:      make(map[outcomeKey][][]int),
+		outcomes:      make(map[outcomeKey]*outcomeEntry),
 	}
 	e.shares = make([][]func() ([]float64, error), len(cfg.Schema.Dimensions))
 	for d := range cfg.Schema.Dimensions {

@@ -3,6 +3,7 @@ package costmodel
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -254,8 +255,9 @@ func shardedStar() *schema.Star {
 
 // TestScratchSharderRace hammers worker-owned scratch reuse and the
 // intra-candidate sharded kernel fill under the pipeline's exact token
-// protocol (park before blocking on work, unpark after receiving), and
-// asserts every concurrent evaluation is bit-identical to the serial one.
+// protocol (workers claim candidates from a shared index and park their
+// token when they run out), and asserts every concurrent evaluation is
+// bit-identical to the serial one.
 // Run with -race this doubles as the memory-safety proof of the Sharder.
 func TestScratchSharderRace(t *testing.T) {
 	s := shardedStar()
@@ -297,20 +299,20 @@ func TestScratchSharderRace(t *testing.T) {
 
 	const workers, reps = 4, 8
 	sharder := NewSharder(workers)
-	work := make(chan *fragment.Fragmentation)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer sharder.Park()
 			sc := e.NewScratch(sharder)
 			for {
-				sharder.Park()
-				f, ok := <-work
-				if !ok {
+				i := int(next.Add(1)) - 1
+				if i >= reps*len(cands) {
 					return
 				}
-				sharder.Unpark()
+				f := cands[i%len(cands)]
 				ev, err := e.EvaluateWith(sc, f)
 				if err != nil {
 					t.Errorf("%s: %v", f.Name(s), err)
@@ -323,12 +325,6 @@ func TestScratchSharderRace(t *testing.T) {
 			}
 		}()
 	}
-	for r := 0; r < reps; r++ {
-		for _, f := range cands {
-			work <- f
-		}
-	}
-	close(work)
 	wg.Wait()
 }
 

@@ -39,9 +39,9 @@ type evalScratch struct {
 	// (candidate, class), it produces exactly the sequence a fresh
 	// rand.New(rand.NewSource(seed)) would.
 	rng *rand.Rand
-	// sharder is the pipeline's idle-worker token pool for intra-candidate
-	// sharding of the kernel fill; nil disables sharding (pooled Evaluate
-	// scratches never shard).
+	// sharder holds the tokens of pipeline workers that have run out of
+	// candidates, which a large kernel fill borrows to shard itself; nil
+	// disables sharding (pooled Evaluate scratches never shard).
 	sharder *Sharder
 }
 
@@ -97,8 +97,8 @@ type Scratch struct {
 	es *evalScratch
 }
 
-// NewScratch returns a worker-lifetime scratch. sharder optionally
-// donates the pipeline's idle-worker tokens to intra-candidate kernel
+// NewScratch returns a worker-lifetime scratch. sharder optionally lends
+// the tokens of exited pipeline workers to intra-candidate kernel
 // sharding (see Sharder); nil disables sharding.
 func (e *Evaluator) NewScratch(sharder *Sharder) *Scratch {
 	es := newEvalScratch()

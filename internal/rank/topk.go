@@ -64,6 +64,9 @@ func leadSize(n int, pct float64, minLead int) int {
 // (core.Result does, for the analysis layer) still hold O(candidates)
 // overall. maxCandidates <= 0 keeps every added evaluation (exact for
 // any stream length, no memory bound).
+//
+// Add and AddSkipped must be serialized by the caller; Cutoff may be
+// read concurrently with them.
 type Collector struct {
 	pct     float64
 	minLead int
@@ -75,10 +78,10 @@ type Collector struct {
 	h       evalHeap
 	// cutoff is the published admission threshold: a snapshot of the
 	// heap's worst retained tuple once the heap is full. It is written
-	// only by Add (the pipeline's single collection goroutine) and read
-	// lock-free by the evaluation workers deciding whether a candidate's
-	// lower bound can still beat the retained set — the atomic pointer
-	// makes those cross-goroutine reads race-free.
+	// only by Add, whose callers serialize (core's workers hold a mutex
+	// around Add/AddSkipped), and read lock-free by the evaluation
+	// workers deciding whether a candidate's lower bound can still beat
+	// the retained set — the atomic pointer makes those reads race-free.
 	cutoff atomic.Pointer[Cutoff]
 }
 
@@ -170,7 +173,7 @@ func (c *Collector) AddSkipped() {
 
 // Cutoff returns the latest published admission threshold. ok is false
 // until the bounded heap first fills (or always, for unbounded
-// collectors). Safe for concurrent use with Add from one goroutine.
+// collectors). Safe for concurrent use with (serialized) Add calls.
 func (c *Collector) Cutoff() (Cutoff, bool) {
 	if p := c.cutoff.Load(); p != nil {
 		return *p, true

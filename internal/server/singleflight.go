@@ -82,8 +82,15 @@ func (g *flightGroup[V]) Do(ctx, base context.Context, key string, fn func(conte
 	// The leader cannot select on its own ctx while it runs fn, so its
 	// departure (client gone, request deadline) is observed by AfterFunc:
 	// the reference drops, and with no other waiters the evaluation
-	// context cancels mid-fn.
-	stopWatch := context.AfterFunc(ctx, func() { g.leave(f) })
+	// context cancels mid-fn. A leader that arrives already departed
+	// drops its reference here instead: AfterFunc's goroutine may not be
+	// scheduled before a short fn has finished with a live context.
+	stopWatch := func() bool { return false }
+	if ctx.Err() != nil {
+		g.leave(f)
+	} else {
+		stopWatch = context.AfterFunc(ctx, func() { g.leave(f) })
+	}
 
 	// The deferred cleanup runs even when fn panics: the flight is
 	// forgotten and done is closed, so waiters get errFlightPanicked

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -180,6 +181,24 @@ func TestFlightGroupLoneCallerCancelsEvaluation(t *testing.T) {
 	}
 	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+}
+
+// TestFlightGroupDepartedLeaderCancelsSynchronously: a lone caller whose
+// ctx is already done when it enters Do (a request deadline shorter than
+// the time to reach the evaluation) must hand fn an already-cancelled
+// context. With one P, a watcher goroutine would not run before a short
+// fn finished, so the release has to happen on the caller's goroutine.
+func TestFlightGroupDepartedLeaderCancelsSynchronously(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var g flightGroup[int]
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	_, err, _ := g.Do(ctx, bg, "k", func(fctx context.Context) (int, error) {
+		return 0, fctx.Err()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("fn saw a live evaluation context (err = %v); want it cancelled on entry", err)
 	}
 }
 

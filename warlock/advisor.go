@@ -20,10 +20,9 @@ import (
 //	)
 //	res, err := adv.Advise(ctx, in)
 //
-// A zero-option Advisor behaves exactly like the deprecated top-level
-// functions: warlock.New().Advise(ctx, in) is bit-for-bit identical to
-// warlock.Advise(in). An Advisor is immutable after New and safe for
-// concurrent use by multiple goroutines.
+// A zero-option Advisor runs every advisory with the Input's own
+// settings. An Advisor is immutable after New and safe for concurrent
+// use by multiple goroutines.
 type Advisor struct {
 	cache       *EvalCache
 	parallelism int
@@ -90,10 +89,10 @@ func (a *Advisor) prepared(in *Input) *Input {
 }
 
 // Advise runs the full WARLOCK pipeline — candidate generation,
-// threshold exclusion, parallel cost-model evaluation, streaming
-// twofold ranking — under ctx: on cancellation the pipeline drains
-// cleanly and the context's error is returned. Results are bit-for-bit
-// identical to the deprecated Advise/AdviseContext for the same input.
+// threshold exclusion, parallel cost-model evaluation, twofold ranking
+// — under ctx: on cancellation the workers stop after their current
+// candidate and the context's error is returned. Results are bit-for-bit
+// identical for every Parallelism value.
 func (a *Advisor) Advise(ctx context.Context, in *Input) (*Result, error) {
 	return core.AdviseContext(ctx, a.prepared(in))
 }

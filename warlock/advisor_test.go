@@ -9,97 +9,48 @@ import (
 	"repro/warlock"
 )
 
-// TestAdvisorMatchesDeprecatedAdvise pins the deprecation contract: the
-// old top-level entry points must stay thin wrappers whose rendered
-// output is byte-identical to the Advisor API, so existing callers can
-// migrate (or not) without any behavioural diff.
-func TestAdvisorMatchesDeprecatedAdvise(t *testing.T) {
-	in := smallInput(t)
-	//lint:ignore SA1019 the test exists to pin the deprecated wrapper's parity
-	old, err := warlock.Advise(smallInput(t))
+// TestAdvisorOptionsKeepOutput: the Advisor's cache, parallelism and
+// sweep-worker options trade wall-clock time only — the rendered
+// advisory and sweep bytes must not move.
+func TestAdvisorOptionsKeepOutput(t *testing.T) {
+	ctx := context.Background()
+	res, err := warlock.New().Advise(ctx, smallInput(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := warlock.New().Advise(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warlock.Report(old) != warlock.Report(res) {
-		t.Fatal("Advisor.Advise output differs from deprecated Advise")
-	}
-
-	// The advisor-level knobs are wall-clock-only: same bytes again.
 	tuned, err := warlock.New(
 		warlock.WithEvalCache(warlock.NewEvalCache()),
 		warlock.WithParallelism(3),
-	).Advise(context.Background(), smallInput(t))
+	).Advise(ctx, smallInput(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warlock.Report(tuned) != warlock.Report(res) {
 		t.Fatal("WithEvalCache/WithParallelism changed advisory output")
 	}
-}
 
-// TestAdvisorMatchesDeprecatedSweep pins the same contract for sweeps,
-// options merging included.
-func TestAdvisorMatchesDeprecatedSweep(t *testing.T) {
 	grid := &warlock.SweepGrid{Disks: []int{8, 16}, Parallelism: []int{1, 2}}
-	target := 500 * time.Millisecond
-	//lint:ignore SA1019 the test exists to pin the deprecated wrapper's parity
-	old, err := warlock.Sweep(smallInput(t), grid, warlock.SweepOptions{ResponseTarget: target})
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv := warlock.New(warlock.WithResponseTarget(target), warlock.WithSweepWorkers(2))
-	rep, err := adv.Sweep(context.Background(), smallInput(t), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Scenarios) != len(old.Scenarios) {
-		t.Fatalf("scenarios: %d vs %d", len(rep.Scenarios), len(old.Scenarios))
-	}
-	for i := range rep.Scenarios {
-		// PruneEvaluated/PruneSkipped are schedule-dependent diagnostics
-		// (absent from every rendered surface); everything else must match.
-		a, b := rep.Scenarios[i].Outcome, old.Scenarios[i].Outcome
-		a.PruneEvaluated, a.PruneSkipped = 0, 0
-		b.PruneEvaluated, b.PruneSkipped = 0, 0
-		if a != b {
-			t.Fatalf("scenario %d outcome differs: %+v vs %+v", i, a, b)
+	sweepJSON := func(workers int) []byte {
+		adv := warlock.New(warlock.WithSweepWorkers(workers))
+		rep, err := adv.Sweep(ctx, smallInput(t), grid)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if ob, nb := old.Best(), rep.Best(); (ob == nil) != (nb == nil) ||
-		(ob != nil && ob.Index != nb.Index) {
-		t.Fatal("Best() differs from deprecated Sweep")
-	}
-	var oldJSON, newJSON bytes.Buffer
-	if err := old.WriteJSON(&oldJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.WriteJSON(&newJSON); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(oldJSON.Bytes(), newJSON.Bytes()) {
-		t.Fatal("rendered sweep JSON differs between deprecated Sweep and Advisor")
-	}
-
-	//lint:ignore SA1019 the test exists to pin the deprecated wrapper's parity
-	oldScens, err := warlock.SweepScenarios(smallInput(t), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scens, err := adv.Scenarios(smallInput(t), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scens) != len(oldScens) {
-		t.Fatalf("expand: %d vs %d scenarios", len(scens), len(oldScens))
-	}
-	for i := range scens {
-		if scens[i].Name != oldScens[i].Name {
-			t.Fatalf("scenario %d name %q vs %q", i, scens[i].Name, oldScens[i].Name)
+		scens, err := adv.Scenarios(smallInput(t), grid)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(scens) != len(rep.Scenarios) {
+			t.Fatalf("Scenarios expanded %d, Sweep ran %d", len(scens), len(rep.Scenarios))
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if !bytes.Equal(sweepJSON(1), sweepJSON(2)) {
+		t.Fatal("WithSweepWorkers changed the rendered sweep JSON")
 	}
 }
 

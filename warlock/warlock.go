@@ -22,22 +22,21 @@
 // New returns an Advisor, the context-first front door: options set the
 // cross-call configuration once (WithEvalCache, WithParallelism,
 // WithSweepWorkers, WithResponseTarget, WithEndpoint), and every method
-// takes a context. The older top-level Advise/Sweep functions remain as
-// thin deprecated wrappers with bit-identical outputs.
+// takes a context.
 //
 // # Concurrency
 //
-// The prediction layer runs as a concurrent streaming pipeline: lazy
-// candidate enumeration, threshold pruning, a branch-and-bound stage
-// that skips candidates whose admissible cost lower bound proves they
-// cannot enter the retained set (Result.PruneStats reports the split;
-// Input.DisablePruning turns it off for A/B runs), a pool of cost-model
-// workers, and a streaming top-k ranking stage. Input.Parallelism sets
-// the worker count (<= 0 uses GOMAXPROCS); results are bit-for-bit
-// identical for every value and with pruning on or off, so both knobs
-// trade wall-clock time only. AdviseContext adds cancellation: on ctx
-// cancellation the pipeline drains cleanly and the context's error is
-// returned.
+// The prediction layer enumerates the candidates and applies the
+// threshold pre-check, then prices the survivors on a pool of cost-model
+// workers that feed an incremental top-k ranking. Before pricing, a
+// branch-and-bound check skips candidates whose admissible cost lower
+// bound proves they cannot enter the retained set (Result.PruneStats
+// reports the split; Input.DisablePruning turns it off for A/B runs).
+// Input.Parallelism sets the worker count (<= 0 uses GOMAXPROCS);
+// results are bit-for-bit identical for every value and with pruning on
+// or off, so both knobs trade wall-clock time only. Advisor.Advise takes
+// a context: on cancellation the workers stop after their current
+// candidate and the context's error is returned.
 //
 // # Robustness
 //
@@ -162,7 +161,6 @@
 package warlock
 
 import (
-	"context"
 	"io"
 	"net/http"
 	"time"
@@ -290,37 +288,6 @@ type (
 	EvalCache = costmodel.Cache
 )
 
-// Sweep evaluates a declarative what-if grid over the base input through
-// one shared, memoizing pipeline: scenarios run concurrently, scenarios
-// differing only in Parallelism share one advisory, and all scenarios
-// share attribute share vectors and candidate geometries where the
-// schema is unchanged. Per-scenario results are bit-for-bit identical
-// to independent Advise calls on the scenario inputs — the sweep only
-// removes repeated work (an N-scenario grid costs far less than N cold
-// advisories).
-//
-// Deprecated: use New(...).Sweep (or SweepWithOptions for explicit
-// per-call options), which takes a context. Outputs are bit-identical.
-func Sweep(base *Input, grid *SweepGrid, opts SweepOptions) (*SweepReport, error) {
-	return sweep.Run(context.Background(), base, grid, opts)
-}
-
-// SweepContext is Sweep with cancellation: on ctx cancellation all
-// scenario pipelines drain cleanly and the context's error is returned.
-//
-// Deprecated: use New(...).SweepWithOptions. Outputs are bit-identical.
-func SweepContext(ctx context.Context, base *Input, grid *SweepGrid, opts SweepOptions) (*SweepReport, error) {
-	return sweep.Run(ctx, base, grid, opts)
-}
-
-// SweepScenarios expands a grid into its materialized scenarios without
-// evaluating them — useful to inspect or cost a sweep before running it.
-//
-// Deprecated: use New(...).Scenarios. Outputs are bit-identical.
-func SweepScenarios(base *Input, grid *SweepGrid) ([]SweepScenario, error) {
-	return sweep.Expand(base, grid)
-}
-
 // NewEvalCache returns an empty shared evaluation-state cache for
 // advanced callers wiring Input.EvalCache by hand; Sweep manages one
 // per run automatically.
@@ -374,24 +341,6 @@ const (
 	RoundRobin = alloc.RoundRobin
 	GreedySize = alloc.GreedySize
 )
-
-// Advise runs the full WARLOCK pipeline: candidate generation, threshold
-// exclusion, parallel cost-model evaluation (Input.Parallelism workers)
-// and streaming twofold ranking.
-//
-// Deprecated: use New(...).Advise, which takes a context. Outputs are
-// bit-identical.
-func Advise(in *Input) (*Result, error) { return core.Advise(in) }
-
-// AdviseContext is Advise with cancellation: when ctx is cancelled the
-// pipeline stages drain cleanly, no goroutine outlives the call, and the
-// context's error is returned. Results are identical to Advise for every
-// Parallelism value.
-//
-// Deprecated: use New(...).Advise. Outputs are bit-identical.
-func AdviseContext(ctx context.Context, in *Input) (*Result, error) {
-	return core.AdviseContext(ctx, in)
-}
 
 // AdviseMulti advises several fact tables sharing one disk pool and
 // co-allocates their winning fragmentations (paper §2: "one or more fact
