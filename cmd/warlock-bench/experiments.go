@@ -589,9 +589,10 @@ func runF2(p params) error {
 
 // runE14 measures the what-if sweep engine: the same scenario grid
 // evaluated as N independent cold advisories versus one shared-state
-// sweep (memoized geometries, one advisory per parallelism-equivalent
-// group, concurrent scenarios). Winners are asserted identical per
-// scenario; the table reports the wall-clock speedup the sharing buys.
+// sweep (memoized geometries and outcome tables, one advisory per
+// parallelism-equivalent group, concurrent scenarios). Winners are
+// asserted identical per scenario; the table reports the wall-clock
+// speedup the sharing buys.
 func runE14(p params) error {
 	in, err := input(p, 0, 0)
 	if err != nil {
@@ -651,7 +652,7 @@ func runE14(p params) error {
 		float64(coldWall)/float64(sweepWall))
 	w.Flush()
 	fmt.Println("(identical ranked results per scenario by construction; the sweep shares")
-	fmt.Println(" geometries across disk counts and mixes, advises each parallelism group once,")
-	fmt.Println(" and runs scenario advisories concurrently)")
+	fmt.Println(" geometries and outcome tables across disk counts and mixes, advises each")
+	fmt.Println(" parallelism group once, and runs scenario advisories concurrently)")
 	return nil
 }

@@ -10,18 +10,23 @@ import (
 
 // Cache shares candidate-independent cost-model state across many
 // Evaluators: the skew-aggregated share vector of each dimension attribute
-// (depends only on schema and mapping) and the fragment geometry of each
+// (depends only on schema and mapping), the fragment geometry of each
 // candidate (depends on schema, mapping, page size and the fragment
 // bound, but not on the query mix, the disk count, the prefetch granules
-// or the allocation scheme). A what-if sweep evaluating one schema under
-// many disk counts or query-mix reweightings therefore computes every
-// geometry once instead of once per scenario.
+// or the allocation scheme), and the hit-outcome table of each
+// (mapping, DimCase, FragCard, QueryCard) combination (depends on nothing
+// else — not even the schema). A what-if sweep evaluating one schema
+// under many disk counts or query-mix reweightings therefore computes
+// every geometry and every outcome table once instead of once per
+// scenario.
 //
-// Entries are keyed by schema pointer identity: two scenarios share
-// cached state only when they literally share the *schema.Star value, so
-// a stale hit is impossible as long as schemas are not mutated after
-// first use (the advisor never mutates its inputs). All methods are
-// goroutine-safe; concurrent scenario pipelines may share one Cache.
+// Share vectors and geometries are keyed by schema pointer identity: two
+// scenarios share them only when they literally share the *schema.Star
+// value, so a stale hit is impossible as long as schemas are not mutated
+// after first use (the advisor never mutates its inputs). Outcome tables
+// carry no schema in their key and are shared by every Evaluator on the
+// cache. All methods are goroutine-safe; concurrent scenario pipelines
+// may share one Cache.
 // Every cached value is computed by exactly the code path an uncached
 // Evaluator runs, so results are bit-for-bit identical with and without
 // a Cache.
@@ -31,9 +36,10 @@ import (
 // unrelated schemas accumulates an entry set per schema; create a new
 // one per batch of related work instead.
 type Cache struct {
-	mu     sync.Mutex
-	shares map[sharesCacheKey]func() ([]float64, error)
-	geoms  map[geomCacheKey]func() (*fragment.Geometry, error)
+	mu       sync.Mutex
+	shares   map[sharesCacheKey]func() ([]float64, error)
+	geoms    map[geomCacheKey]func() (*fragment.Geometry, error)
+	outcomes *outcomeStore
 }
 
 type sharesCacheKey struct {
@@ -53,8 +59,9 @@ type geomCacheKey struct {
 // NewCache returns an empty shared evaluation-state cache.
 func NewCache() *Cache {
 	return &Cache{
-		shares: make(map[sharesCacheKey]func() ([]float64, error)),
-		geoms:  make(map[geomCacheKey]func() (*fragment.Geometry, error)),
+		shares:   make(map[sharesCacheKey]func() ([]float64, error)),
+		geoms:    make(map[geomCacheKey]func() (*fragment.Geometry, error)),
+		outcomes: newOutcomeStore(),
 	}
 }
 
@@ -96,9 +103,9 @@ func (c *Cache) Geometries() int {
 }
 
 // Shares reports how many distinct attribute share vectors the cache
-// currently holds. Together with Geometries it lets long-lived holders
-// (the advisory service keeps one Cache per schema identity) bound a
-// cache's growth by swapping in a fresh one.
+// currently holds. Together with Geometries and Outcomes it lets
+// long-lived holders (the advisory service keeps one Cache per schema
+// identity) bound a cache's growth by swapping in a fresh one.
 func (c *Cache) Shares() int {
 	if c == nil {
 		return 0
@@ -106,4 +113,53 @@ func (c *Cache) Shares() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.shares)
+}
+
+// Outcomes reports how many distinct hit-outcome tables the cache
+// currently holds.
+func (c *Cache) Outcomes() int {
+	if c == nil {
+		return 0
+	}
+	c.outcomes.mu.Lock()
+	defer c.outcomes.mu.Unlock()
+	return len(c.outcomes.tables)
+}
+
+// outcomeKey identifies one dimension's hit-outcome table. The table
+// depends only on these four values, so the key carries no schema.
+type outcomeKey struct {
+	mapping             skew.Mapping
+	kase                DimCase
+	fragCard, queryCard int
+}
+
+// outcomeStore memoizes hit-outcome tables. A Cache holds one shared by
+// all of its Evaluators; an Evaluator without a Cache owns a private one.
+// Each key's table is built exactly once: the map lookup runs under mu,
+// and concurrent callers reaching a cold key wait on its OnceValue
+// instead of each running the O(fragCard·queryCard) build. A build that
+// panics re-panics in every later caller rather than pricing with a
+// missing table.
+type outcomeStore struct {
+	mu     sync.Mutex
+	tables map[outcomeKey]func() *outcomeTable
+}
+
+func newOutcomeStore() *outcomeStore {
+	return &outcomeStore{tables: make(map[outcomeKey]func() *outcomeTable)}
+}
+
+// table returns the memoized outcome table of one dimension plan under
+// the mapping. The table is read-only.
+func (s *outcomeStore) table(dp DimPlan, mapping skew.Mapping) *outcomeTable {
+	key := outcomeKey{mapping: mapping, kase: dp.Case, fragCard: dp.FragCard, queryCard: dp.QueryCard}
+	s.mu.Lock()
+	fn, ok := s.tables[key]
+	if !ok {
+		fn = sync.OnceValue(func() *outcomeTable { return dimOutcomes(dp, mapping) })
+		s.tables[key] = fn
+	}
+	s.mu.Unlock()
+	return fn()
 }

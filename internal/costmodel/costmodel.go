@@ -73,10 +73,11 @@ type Config struct {
 	// fragment.MaxFragmentsDefault.
 	MaxFragments int64
 	// Cache optionally shares candidate-independent evaluation state
-	// (attribute share vectors, candidate geometries) across Evaluators,
-	// keyed by schema identity. Nil disables sharing. Results are
-	// bit-for-bit identical with and without a cache; only repeated work
-	// is skipped. The sweep engine sets it for all scenarios of one run.
+	// (attribute share vectors and candidate geometries, keyed by schema
+	// identity; hit-outcome tables, keyed without it) across Evaluators.
+	// Nil disables sharing. Results are bit-for-bit identical with and
+	// without a cache; only repeated work is skipped. The sweep engine
+	// sets it for all scenarios of one run.
 	Cache *Cache
 }
 
@@ -330,70 +331,78 @@ const (
 func Outcomes(plan *ClassPlan, mapping skew.Mapping) [][][]int {
 	out := make([][][]int, len(plan.Dims))
 	for i, dp := range plan.Dims {
-		out[i] = dimOutcomes(dp, mapping)
+		out[i] = dimOutcomes(dp, mapping).unpack()
 	}
 	return out
 }
 
-// dimOutcomes builds one fragmentation attribute's outcome sets. The
+// outcomeTable is one fragmentation attribute's outcome sets packed into
+// two flat arrays: set c is vals[off[c]:off[c+1]]. The values are
+// fragment-attribute values, which fit int32 because a geometry
+// materializes every fragment. Tables outlive one advisory in a shared
+// Cache, so the packed form keeps them small: two allocations and four
+// bytes per value instead of a slice header per set and eight bytes per
+// value.
+type outcomeTable struct {
+	vals []int32
+	off  []int32
+}
+
+func (t *outcomeTable) numSets() int { return len(t.off) - 1 }
+
+func (t *outcomeTable) set(c int) []int32 { return t.vals[t.off[c]:t.off[c+1]] }
+
+// unpack returns the sets as [][]int, one capacity-limited slice per
+// set over a shared backing array.
+func (t *outcomeTable) unpack() [][]int {
+	all := make([]int, len(t.vals))
+	for i, v := range t.vals {
+		all[i] = int(v)
+	}
+	sets := make([][]int, t.numSets())
+	for c := range sets {
+		sets[c] = all[t.off[c]:t.off[c+1]:t.off[c+1]]
+	}
+	return sets
+}
+
+// dimOutcomes builds one fragmentation attribute's outcome table. The
 // result depends only on (Case, FragCard, QueryCard) and the mapping, so
-// the Evaluator memoizes it per key (dimOutcomeSets); the returned slices
-// are treated as read-only by every consumer.
-func dimOutcomes(dp DimPlan, mapping skew.Mapping) [][]int {
+// Evaluators memoize it per key (outcomeStore); the table is treated as
+// read-only by every consumer. Every value lands in exactly one set, so
+// vals holds FragCard entries.
+func dimOutcomes(dp DimPlan, mapping skew.Mapping) *outcomeTable {
+	fc := dp.FragCard
+	t := &outcomeTable{vals: make([]int32, 0, fc)}
 	switch dp.Case {
 	case CoarserEq:
-		sets := make([][]int, dp.QueryCard)
+		t.off = make([]int32, 1, dp.QueryCard+1)
 		for w := 0; w < dp.QueryCard; w++ {
-			var hit []int
-			for v := 0; v < dp.FragCard; v++ {
-				if Ancestor(v, dp.FragCard, dp.QueryCard, mapping) == w {
-					hit = append(hit, v)
+			for v := 0; v < fc; v++ {
+				if Ancestor(v, fc, dp.QueryCard, mapping) == w {
+					t.vals = append(t.vals, int32(v))
 				}
 			}
-			sets[w] = hit
+			t.off = append(t.off, int32(len(t.vals)))
 		}
-		return sets
 	case Finer:
 		// Every query value maps to one fragment value; grouping the
 		// cq values by their ancestor yields cf outcomes of equal
 		// probability 1/cf (valid when QueryCard is a multiple of
 		// FragCard; otherwise probabilities differ by O(1/cq) and the
 		// uniform grouping is a close approximation).
-		sets := make([][]int, dp.FragCard)
-		for v := 0; v < dp.FragCard; v++ {
-			sets[v] = []int{v}
+		t.off = make([]int32, 1, fc+1)
+		for v := 0; v < fc; v++ {
+			t.vals = append(t.vals, int32(v))
+			t.off = append(t.off, int32(len(t.vals)))
 		}
-		return sets
-	default: // Unreferenced
-		all := make([]int, dp.FragCard)
-		for v := range all {
-			all[v] = v
+	default: // Unreferenced: one set holding every value
+		for v := 0; v < fc; v++ {
+			t.vals = append(t.vals, int32(v))
 		}
-		return [][]int{all}
+		t.off = []int32{0, int32(fc)}
 	}
-}
-
-// dimOutcomeSets returns the memoized outcome sets of one dimension plan.
-// Each key's table is built exactly once: the map lookup runs under
-// outMu, and concurrent callers reaching a cold key wait on its entry's
-// Once instead of each running the O(fragCard·queryCard) build.
-func (e *Evaluator) dimOutcomeSets(dp DimPlan) [][]int {
-	key := outcomeKey{kase: dp.Case, fragCard: dp.FragCard, queryCard: dp.QueryCard}
-	e.outMu.Lock()
-	ent := e.outcomes[key]
-	if ent == nil {
-		ent = new(outcomeEntry)
-		e.outcomes[key] = ent
-	}
-	e.outMu.Unlock()
-	ent.once.Do(func() { ent.sets = dimOutcomes(dp, e.cfg.Mapping) })
-	if ent.sets == nil {
-		// dimOutcomes never returns nil, so the build panicked on an
-		// earlier call: fail this caller too rather than price with an
-		// empty table.
-		panic("costmodel: outcome table build failed")
-	}
-	return ent.sets
+	return t
 }
 
 // Ancestor maps a value at a fine level (cardinality fineCard) to its
@@ -416,21 +425,21 @@ func Ancestor(v, fineCard, coarseCard int, m skew.Mapping) int {
 // from the candidate and class, see SampleSeed — never from the clock).
 // Returns seconds and whether the result is exact. Per-fragment service
 // times come from the size-class table (cls indexed through sz.ClassOf);
-// the per-dimension outcome sets come from the evaluator's memo. sc
+// the per-dimension outcome tables come from the evaluator's store. sc
 // supplies the pooled cursor/accumulator buffers; sc.rbusy must be
 // all-zero on entry (the pattern evaluation restores the zeros it
 // overwrites).
 func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, pl *alloc.Placement, sz *fragment.SizeClasses, cls []sizeClassCost, sampleSeed int64, sc *evalScratch) (float64, bool) {
 	outcomes := sc.outs[:len(plan.Dims)]
 	for i, dp := range plan.Dims {
-		outcomes[i] = e.dimOutcomeSets(dp)
+		outcomes[i] = e.outcomes.table(dp, e.cfg.Mapping)
 	}
 	combos := 1
 	hitsPerCombo := 1
-	for _, sets := range outcomes {
-		combos *= len(sets)
-		if len(sets) > 0 {
-			hitsPerCombo *= len(sets[0])
+	for _, t := range outcomes {
+		combos *= t.numSets()
+		if t.numSets() > 0 {
+			hitsPerCombo *= len(t.set(0))
 		}
 		if combos > maxResponseOutcomes {
 			break
@@ -444,12 +453,12 @@ func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, pl *alloc.Placement, sz
 	evalPattern := func(choice []int) float64 {
 		// Enumerate the Cartesian product of the chosen hit sets.
 		for i, c := range choice {
-			sets[i] = outcomes[i][c]
+			sets[i] = outcomes[i].set(c)
 		}
 		clear(idx)
 		for {
 			for i := range sets {
-				vals[i] = sets[i][idx[i]]
+				vals[i] = int(sets[i][idx[i]])
 			}
 			fid := plan.fragID(vals)
 			tv := cls[sz.ClassOf[fid]].tv
@@ -492,7 +501,7 @@ func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, pl *alloc.Placement, sz
 			i := len(choice) - 1
 			for ; i >= 0; i-- {
 				choice[i]++
-				if choice[i] < len(outcomes[i]) {
+				if choice[i] < outcomes[i].numSets() {
 					break
 				}
 				choice[i] = 0
@@ -510,7 +519,7 @@ func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, pl *alloc.Placement, sz
 	var sum float64
 	for s := 0; s < responseSamples; s++ {
 		for i := range choice {
-			choice[i] = sc.rng.Intn(len(outcomes[i]))
+			choice[i] = sc.rng.Intn(outcomes[i].numSets())
 		}
 		sum += evalPattern(choice)
 	}

@@ -42,30 +42,18 @@ type Evaluator struct {
 	// with a worker-owned Scratch (NewScratch/EvaluateWith). Scratch
 	// never escapes into an Evaluation; reuse cannot change results.
 	scratch sync.Pool
-	// outMu/outcomes memoize the per-dimension hit-outcome sets of the
-	// response-time expectation. The sets depend only on (DimCase,
-	// FragCard, QueryCard) under the evaluator's fixed mapping, so a
-	// handful of distinct tables serve every (candidate, class) pair —
-	// rebuilding them per evaluation used to dominate the whole pipeline
-	// (O(fragCard·queryCard) appends and Ancestor calls per class). Each
-	// entry is built once (see dimOutcomeSets); the cached sets are
-	// read-only.
-	outMu    sync.Mutex
-	outcomes map[outcomeKey]*outcomeEntry
+	// outcomes memoizes the per-dimension hit-outcome tables of the
+	// response-time expectation. A table depends only on (mapping,
+	// DimCase, FragCard, QueryCard), so a handful of tables serve every
+	// (candidate, class) pair — rebuilding them per evaluation used to
+	// dominate the whole pipeline (O(fragCard·queryCard) appends and
+	// Ancestor calls per class). With cfg.Cache set the store is the
+	// cache's, shared with every Evaluator on that cache (every scenario
+	// of a sweep, every warlockd miss on one schema entry); otherwise it
+	// is private to this Evaluator. Tables are read-only.
+	outcomes *outcomeStore
 	// boundStateHolder carries the lazily built LowerBound tables.
 	boundStateHolder
-}
-
-// outcomeKey identifies one dimension's outcome-set table.
-type outcomeKey struct {
-	kase                DimCase
-	fragCard, queryCard int
-}
-
-// outcomeEntry is one memoized outcome-set table, built once.
-type outcomeEntry struct {
-	once sync.Once
-	sets [][]int
 }
 
 // NewEvaluator validates the configuration and precomputes the shared
@@ -78,7 +66,11 @@ func NewEvaluator(cfg *Config) (*Evaluator, error) {
 		cfg:           cfg,
 		weights:       cfg.Mix.NormalizedWeights(),
 		capacityPages: cfg.Disk.CapacityBytes / int64(cfg.Disk.PageSize),
-		outcomes:      make(map[outcomeKey]*outcomeEntry),
+	}
+	if cfg.Cache != nil {
+		e.outcomes = cfg.Cache.outcomes
+	} else {
+		e.outcomes = newOutcomeStore()
 	}
 	e.shares = make([][]func() ([]float64, error), len(cfg.Schema.Dimensions))
 	for d := range cfg.Schema.Dimensions {

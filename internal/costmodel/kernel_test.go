@@ -149,6 +149,16 @@ func naiveExpectedMaxResponse(cfg *Config, plan *ClassPlan, pl *alloc.Placement,
 	return sum / responseSamples, false
 }
 
+// outcomeCombos is the number of outcome combinations of a class: the
+// product of its per-attribute set counts.
+func outcomeCombos(plan *ClassPlan, cfg *Config) int {
+	combos := 1
+	for _, sets := range Outcomes(plan, cfg.Mapping) {
+		combos *= len(sets)
+	}
+	return combos
+}
+
 // compareClassCost asserts exact (bitwise) equality of every model output
 // of one class.
 func compareClassCost(t *testing.T, label string, got, want ClassCost) {
@@ -191,7 +201,7 @@ func compareClassCost(t *testing.T, label string, got, want ClassCost) {
 // to the retained naive per-fragment reference.
 func TestKernelMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	checked := 0
+	checked, sampled := 0, 0
 	for trial := 0; trial < 40; trial++ {
 		s := randomBoundStar(rng)
 		m, err := workload.RandomMix(s, 1+rng.Intn(5), rng.Int63())
@@ -226,13 +236,21 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 				got.Weight = 0 // naive reference prices one class, not the mix
 				compareClassCost(t, f.Name(s)+"/"+m.Classes[i].Name, got, want)
 				checked++
+				if outcomeCombos(&plan, cfg) > maxResponseOutcomes {
+					sampled++
+				}
 			}
 		}
 	}
 	if checked < 300 {
 		t.Fatalf("kernel property sweep only checked %d class costs", checked)
 	}
-	t.Logf("kernel property: %d class costs bit-identical", checked)
+	// Classes above maxResponseOutcomes pin the sampling fallback's
+	// rng.Intn sequence against the reference.
+	if sampled == 0 {
+		t.Fatalf("no class exceeds %d outcome combinations; sampling path not pinned", maxResponseOutcomes)
+	}
+	t.Logf("kernel property: %d class costs bit-identical, %d above maxResponseOutcomes", checked, sampled)
 }
 
 // shardedStar is a schema whose fragmented geometry has enough distinct

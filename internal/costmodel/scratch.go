@@ -24,12 +24,12 @@ type evalScratch struct {
 	// touched lists the disks a pattern actually loaded (capacity =
 	// disks, so appends never regrow it).
 	touched []int
-	// outs holds the per-dimension outcome sets of the class currently
-	// being priced (pointers into the Evaluator's outcome cache).
-	outs [][][]int
+	// outs holds the per-dimension outcome tables of the class currently
+	// being priced (read-only tables from the Evaluator's outcome store).
+	outs []*outcomeTable
 	// sets/idx/vals/choice are the hit-pattern cursors, one entry per
 	// fragmentation attribute.
-	sets      [][]int
+	sets      [][]int32
 	idx, vals []int
 	choice    []int
 	// plans holds the candidate's per-class plans, in mix order; Dims
@@ -60,11 +60,11 @@ func (sc *evalScratch) resize(disks, dims, classes int) {
 		sc.touched = make([]int, 0, disks)
 	}
 	if cap(sc.sets) < dims {
-		sc.sets = make([][]int, dims)
+		sc.sets = make([][]int32, dims)
 	}
 	sc.sets = sc.sets[:dims]
 	if cap(sc.outs) < dims {
-		sc.outs = make([][][]int, dims)
+		sc.outs = make([]*outcomeTable, dims)
 	}
 	sc.outs = sc.outs[:dims]
 	sc.idx = growInts(sc.idx, dims)

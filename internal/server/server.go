@@ -78,7 +78,8 @@ const (
 
 // maxCachedEntries bounds one schema entry's evaluation cache: sweeps
 // with rows/skew axes derive per-scenario schemas whose geometries and
-// share vectors accumulate in the shared cache, so a long-lived entry is
+// share vectors accumulate in the shared cache, next to the outcome
+// tables every evaluation on the entry adds, so a long-lived entry is
 // swapped for a fresh cache once its combined entry count grows past
 // this limit (the swap only costs warm state; results are identical
 // with and without it).
@@ -725,14 +726,14 @@ func (s *Server) logf(format string, args ...any) {
 
 // internSchema returns the canonical star and shared evaluation cache
 // for a schema identity, interning the given star on first sight. An
-// entry whose evaluation cache outgrew maxCachedGeometries gets a fresh
+// entry whose evaluation cache outgrew maxCachedEntries gets a fresh
 // cache (same star, warm state dropped).
 func (s *Server) internSchema(key string, star *schema.Star) (*schema.Star, *costmodel.Cache) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.schemas.Get(key); ok {
 		s.count(func(m *Metrics) { m.SchemaHits++ })
-		if e.cache.Geometries()+e.cache.Shares() > maxCachedEntries {
+		if e.cache.Geometries()+e.cache.Shares()+e.cache.Outcomes() > maxCachedEntries {
 			e.cache = costmodel.NewCache()
 		}
 		return e.star, e.cache

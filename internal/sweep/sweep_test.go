@@ -13,6 +13,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/apb"
 	"repro/internal/core"
+	"repro/internal/costmodel"
 )
 
 // baseInput builds a small APB-1 advisor input.
@@ -314,7 +315,8 @@ func TestRunCancellation(t *testing.T) {
 
 // TestSweepSharesGeometryCache pins the memoization: a disks+mix grid on
 // one schema computes each candidate geometry once, not once per
-// scenario (the per-advisory evaluation count stays the same).
+// scenario (the per-advisory evaluation count stays the same), and each
+// hit-outcome table once for the whole sweep.
 func TestSweepSharesGeometryCache(t *testing.T) {
 	base := baseInput(t, 400_000, 8)
 	rep, err := Run(context.Background(), base, fullGrid(), Options{})
@@ -336,5 +338,16 @@ func TestSweepSharesGeometryCache(t *testing.T) {
 	if g := cache.Geometries(); g == 0 || g > 3*evaluated {
 		t.Fatalf("cache holds %d geometries for %d evaluated candidates over %d scenarios — sharing broken?",
 			g, evaluated, len(rep.Scenarios))
+	}
+	// Outcome tables do not depend on disks or mix weights: the whole
+	// sweep holds exactly the tables one cold advisory of scenario 0
+	// builds, so no scenario adds any.
+	in := *rep.Scenarios[0].Scenario.Input
+	in.EvalCache = costmodel.NewCache()
+	if _, err := core.Advise(&in); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cache.Outcomes(), in.EvalCache.Outcomes(); want == 0 || got != want {
+		t.Fatalf("sweep cache holds %d outcome tables, one cold advisory %d", got, want)
 	}
 }
