@@ -45,9 +45,13 @@
 // service times) is computed once per (query class, size class), and the
 // per-fragment accumulation folds the precomputed addends in exact
 // logical fragment order — bit-identical to the naive loop it replaced
-// and O(distinct sizes) instead of O(fragments). The granule search and
-// the branch-and-bound floor share the same dedup, and each outcome
-// table is built once per evaluator. Around the kernel, core's pipeline
+// and O(distinct sizes) instead of O(fragments). The granule search, the
+// branch-and-bound floor and the page math (bitmap storage and the
+// per-fragment allocation weights) share the same dedup. Each hit-outcome
+// table is built once per costmodel.Cache (once per evaluator without
+// one), and the response-time walk over hit patterns steps fragment ids
+// incrementally and reads each hit fragment's service time from a dense
+// per-size-class array. Around the kernel, core's pipeline
 // enumerates and pre-checks the candidates into a slice, then its
 // workers claim survivor indices from a shared counter and write each
 // verdict into the candidate's slot. Each worker owns its evaluation

@@ -62,10 +62,20 @@ func TestScratchResetAfterPanicPoisoning(t *testing.T) {
 		for i := range es.cls {
 			es.cls[i] = sizeClassCost{w: math.NaN(), sel: -1}
 		}
+		for i := range es.tvs {
+			es.tvs[i] = math.NaN()
+		}
+		for i := range es.classPages {
+			es.classPages[i] = -rng.Int63()
+		}
+		for i := range es.fragPages {
+			es.fragPages[i] = -rng.Int63()
+		}
 		for i := range es.idx {
 			es.idx[i] = rng.Int()
-			es.vals[i] = -rng.Int()
 			es.choice[i] = rng.Int()
+			es.stride[i] = -rng.Int63()
+			es.base[i] = rng.Int63()
 		}
 		es.touched = append(es.touched[:0], rng.Int(), rng.Int())
 		for i := range es.plans {

@@ -423,13 +423,23 @@ func Ancestor(v, fineCard, coarseCard int, m skew.Mapping) int {
 // likely hit patterns: exactly when the outcome space is tractable,
 // otherwise by deterministic sampling seeded with sampleSeed (derived
 // from the candidate and class, see SampleSeed — never from the clock).
-// Returns seconds and whether the result is exact. Per-fragment service
-// times come from the size-class table (cls indexed through sz.ClassOf);
-// the per-dimension outcome tables come from the evaluator's store. sc
-// supplies the pooled cursor/accumulator buffers; sc.rbusy must be
-// all-zero on entry (the pattern evaluation restores the zeros it
-// overwrites).
-func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, pl *alloc.Placement, sz *fragment.SizeClasses, cls []sizeClassCost, sampleSeed int64, sc *evalScratch) (float64, bool) {
+// Returns seconds and whether the result is exact.
+//
+// A hit pattern picks one outcome set per fragmentation attribute (from
+// the shared outcome store); its hit fragments are the Cartesian product
+// of the chosen sets. The walk visits them in logical fragment order
+// without rebuilding fragment ids: fragment id = Σ_i stride[i]·v_i with
+// stride[i] the product of the later attributes' FragCards, base[i]
+// holds the partial sum over the attributes before i, and stepping the
+// odometer at attribute i recomputes only base[i+1:]. The innermost
+// attribute runs as a tight loop f = base + v over its set. A hit
+// fragment adds its service time tvs[sz.ClassOf[f]] (the dense per-size-
+// class array priceSizeClasses filled) to its disk; the visiting order,
+// and therefore every floating-point sum, is the naive per-fragment
+// walk's (kernel_test.go). sc supplies the pooled cursor/accumulator
+// buffers; sc.rbusy must be all-zero on entry (the pattern evaluation
+// restores the zeros it overwrites).
+func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, pl *alloc.Placement, sz *fragment.SizeClasses, tvs []float64, sampleSeed int64, sc *evalScratch) (float64, bool) {
 	outcomes := sc.outs[:len(plan.Dims)]
 	for i, dp := range plan.Dims {
 		outcomes[i] = e.outcomes.table(dp, e.cfg.Mapping)
@@ -445,28 +455,42 @@ func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, pl *alloc.Placement, sz
 			break
 		}
 	}
+	stride := sc.stride[:len(plan.Dims)]
+	n := int64(1)
+	for i := len(plan.Dims) - 1; i >= 0; i-- {
+		stride[i] = n
+		n *= int64(plan.Dims[i].FragCard)
+	}
 	busy := sc.rbusy[:pl.Disks]
 	touched := sc.touched[:0]
 	sets := sc.sets[:len(outcomes)]
 	idx := sc.idx[:len(outcomes)]
-	vals := sc.vals[:len(outcomes)]
+	base := sc.base[:len(outcomes)]
+	// A fragmentation has at least one attribute, so there is always an
+	// innermost one.
+	last := len(sets) - 1
+	base[0] = 0
+	diskOf, classOf := pl.DiskOf, sz.ClassOf
 	evalPattern := func(choice []int) float64 {
-		// Enumerate the Cartesian product of the chosen hit sets.
 		for i, c := range choice {
 			sets[i] = outcomes[i].set(c)
 		}
 		clear(idx)
+		for i := 1; i <= last; i++ {
+			base[i] = base[i-1] + stride[i-1]*int64(sets[i-1][0])
+		}
 		for {
-			for i := range sets {
-				vals[i] = int(sets[i][idx[i]])
+			b := base[last]
+			for _, v := range sets[last] {
+				f := b + int64(v)
+				d := diskOf[f]
+				tv := tvs[classOf[f]]
+				if busy[d] == 0 && tv > 0 {
+					touched = append(touched, d)
+				}
+				busy[d] += tv
 			}
-			fid := plan.fragID(vals)
-			tv := cls[sz.ClassOf[fid]].tv
-			if busy[pl.DiskOf[fid]] == 0 && tv > 0 {
-				touched = append(touched, pl.DiskOf[fid])
-			}
-			busy[pl.DiskOf[fid]] += tv
-			i := len(idx) - 1
+			i := last - 1
 			for ; i >= 0; i-- {
 				idx[i]++
 				if idx[i] < len(sets[i]) {
@@ -476,6 +500,9 @@ func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, pl *alloc.Placement, sz
 			}
 			if i < 0 {
 				break
+			}
+			for j := i + 1; j <= last; j++ {
+				base[j] = base[j-1] + stride[j-1]*int64(sets[j-1][idx[j-1]])
 			}
 		}
 		var mx float64
@@ -524,17 +551,6 @@ func (e *Evaluator) expectedMaxResponse(plan *ClassPlan, pl *alloc.Placement, sz
 		sum += evalPattern(choice)
 	}
 	return sum / responseSamples, false
-}
-
-// fragID maps fragment-attribute values to the fragment's logical id using
-// the plan's cardinalities (identical to Fragmentation.FragmentID but
-// without re-deriving cardinalities from the schema).
-func (p *ClassPlan) fragID(vals []int) int64 {
-	id := int64(0)
-	for i, dp := range p.Dims {
-		id = id*int64(dp.FragCard) + int64(vals[i])
-	}
-	return id
 }
 
 // granulesTouched returns the expected number of granules holding at
@@ -597,14 +613,22 @@ const PrefetchCap = 256
 
 // allocationPages returns the per-fragment allocation weight: fact pages
 // plus the co-located bitmap pages of every index (slices packed per
-// fragment).
-func allocationPages(g *fragment.Geometry, scheme *bitmap.Scheme) []int64 {
-	out := make([]int64, len(g.Pages))
-	for i := range g.Pages {
-		out[i] = g.Pages[i]
+// fragment). Both depend on a fragment only through its exact (rows,
+// pages) size, so the weight is priced once per size class into
+// classPages and fanned out over ClassOf into out — the same integers the
+// per-fragment sum produced. classPages and out are caller-owned buffers
+// of at least the class and fragment counts; out is returned resliced.
+func allocationPages(g *fragment.Geometry, scheme *bitmap.Scheme, classPages, out []int64) []int64 {
+	sz := g.SizeClasses()
+	for c, pages := range sz.Pages {
 		for _, ix := range scheme.Indexes {
-			out[i] += bitmap.PackedPagesPerFragment(g.Rows[i], ix.Slices, g.PageSize)
+			pages += bitmap.PackedPagesPerFragment(sz.Rows[c], ix.Slices, g.PageSize)
 		}
+		classPages[c] = pages
+	}
+	out = out[:len(sz.ClassOf)]
+	for v, c := range sz.ClassOf {
+		out[v] = classPages[c]
 	}
 	return out
 }
@@ -613,7 +637,8 @@ func allocationPages(g *fragment.Geometry, scheme *bitmap.Scheme) []int64 {
 // evaluation (fact + co-located bitmap pages), used by multi-fact-table
 // co-allocation.
 func AllocationPages(ev *Evaluation) []int64 {
-	return allocationPages(ev.Geometry, ev.Scheme)
+	g := ev.Geometry
+	return allocationPages(g, ev.Scheme, make([]int64, g.SizeClasses().NumClasses()), make([]int64, len(g.Pages)))
 }
 
 // EvaluateAll runs the model over a candidate list, skipping candidates

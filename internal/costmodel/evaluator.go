@@ -176,8 +176,12 @@ func (e *Evaluator) evaluateWithGeometry(f *fragment.Fragmentation, g *fragment.
 
 	// Allocation weight: fact pages + co-located bitmap pages per fragment
 	// (bitmap fragmentation exactly follows the fact table fragmentation;
-	// each index's slices are packed per fragment).
-	allocPages := allocationPages(g, scheme)
+	// each index's slices are packed per fragment), priced per size class.
+	// Placement reads the weights without keeping them, so they live in
+	// the scratch.
+	sc.classPages = grow(sc.classPages, g.SizeClasses().NumClasses())
+	sc.fragPages = grow(sc.fragPages, len(g.Pages))
+	allocPages := allocationPages(g, scheme, sc.classPages, sc.fragPages)
 	var pl *alloc.Placement
 	var err error
 	if cfg.AllocScheme != nil {
@@ -231,7 +235,7 @@ func (e *Evaluator) evaluateClass(f *fragment.Fragmentation, g *fragment.Geometr
 	// (zero-page classes contribute +0.0, a bitwise no-op on the
 	// non-negative accumulators; cf. kernel_test.go).
 	sz := g.SizeClasses()
-	cls := e.priceSizeClasses(plan, g.PageSize, sz, factGranule, bmGranule, sc)
+	cls, tvs := e.priceSizeClasses(plan, g.PageSize, sz, factGranule, bmGranule, sc)
 	busy := sc.busy[:pl.Disks]
 	clear(busy)
 	var totalBusy float64
@@ -249,7 +253,7 @@ func (e *Evaluator) evaluateClass(f *fragment.Fragmentation, g *fragment.Geometr
 		cc.DiskBusy[d] = time.Duration(bz * float64(time.Second))
 	}
 	cc.AccessCost = time.Duration(totalBusy * float64(time.Second))
-	resp, exact := e.expectedMaxResponse(plan, pl, sz, cls, SampleSeed(f, c), sc)
+	resp, exact := e.expectedMaxResponse(plan, pl, sz, tvs, SampleSeed(f, c), sc)
 	cc.ResponseTime = time.Duration(resp * float64(time.Second))
 	cc.ResponseExact = exact
 	return cc

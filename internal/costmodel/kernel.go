@@ -21,29 +21,33 @@ import (
 // fragment order so every accumulated float is bit-identical to the
 // naive per-fragment loop (property-tested in kernel_test.go).
 //
-// The same dedup feeds all three pricing stages: evaluateClass (full
-// model) and optimizeGranules (granule search over the representative
-// average size, sharing the table's cached row sum) price sizes through
-// FragmentCost here, and lowerbound.go's admissible floor memoizes its
-// per-row service-time kernel across candidates (boundState.floorMemo) —
-// one size, the single fact row, priced once per distinct selectivity.
+// The same dedup feeds every pricing stage: evaluateClass (full model)
+// and optimizeGranules (granule search over the representative average
+// size, sharing the table's cached row sum) price sizes through
+// FragmentCost here; the response-time walk (expectedMaxResponse) reads
+// each hit fragment's service time from the dense per-size-class array
+// tvs this kernel fills; the page math — allocationPages (per-fragment
+// allocation weights) and bitmap.IndexPages/IndexBytes (scheme storage)
+// — prices each size class once and multiplies or fans out; and
+// lowerbound.go's admissible floor memoizes its per-row service-time
+// kernel across candidates (boundState.floorMemo) — one size, the single
+// fact row, priced once per distinct selectivity.
 
 // sizeClassCost is the kernel's output for one (class, size class) pair:
-// the raw fragment I/O plus every HitProb-weighted per-fragment addend of
-// the evaluator's accumulation loop, precomputed with exactly the
-// arithmetic the per-fragment loop used (same operand order, so the
-// folded sums are bit-identical).
+// every HitProb-weighted per-fragment addend of the evaluator's
+// accumulation loop, precomputed with exactly the arithmetic the
+// per-fragment loop used (same operand order, so the folded sums are
+// bit-identical). The fragment's service time if hit is not a field:
+// priceSizeClasses writes it to a dense per-class array (evalScratch.tvs)
+// so the hit-pattern walk reads eight bytes per hit fragment.
 type sizeClassCost struct {
-	io FragmentIO
-	// tv is io.Seconds under the disk parameters: the fragment's service
-	// time if hit.
-	tv float64
 	// sel = HitProb · rows · RowSel, the expected qualifying rows.
 	sel float64
 	// factIOs/factPages/bitmapIOs/bitmapPages are the HitProb-weighted io
 	// counts.
 	factIOs, factPages, bitmapIOs, bitmapPages float64
-	// w = HitProb · tv, the fragment's expected busy-time contribution.
+	// w = HitProb · tvs[c], the fragment's expected busy-time
+	// contribution.
 	w float64
 }
 
@@ -112,34 +116,34 @@ func (s *Sharder) release(n int) {
 // priceSizeClasses fills and returns the per-size-class cost table of one
 // query class: FragmentCost and service time computed once per distinct
 // (rows, pages) pair, plus the HitProb-weighted addends the accumulation
-// loop folds per fragment. Zero-page classes stay all-zero, matching the
-// naive loop's skip of empty fragments (adding +0.0 to the non-negative
-// accumulators is a bitwise no-op).
+// loop folds per fragment. The service times go to tvs, a dense array
+// indexed by size class that the hit-pattern walk reads. Zero-page
+// classes stay all-zero, matching the naive loop's skip of empty
+// fragments (adding +0.0 to the non-negative accumulators is a bitwise
+// no-op).
 //
 // When the table is large enough and idle pipeline workers are parked on
 // the scratch's Sharder, the fill is split into contiguous ranges across
 // borrowed goroutines. Every slot is written by exactly one goroutine
 // with inputs independent of the split, so the sharded fill is
 // bit-identical to the serial one.
-func (e *Evaluator) priceSizeClasses(plan *ClassPlan, pageSize int, sz *fragment.SizeClasses, factGranule, bmGranule int, sc *evalScratch) []sizeClassCost {
+func (e *Evaluator) priceSizeClasses(plan *ClassPlan, pageSize int, sz *fragment.SizeClasses, factGranule, bmGranule int, sc *evalScratch) (cls []sizeClassCost, tvs []float64) {
 	k := sz.NumClasses()
-	if cap(sc.cls) < k {
-		sc.cls = make([]sizeClassCost, k)
-	}
-	cls := sc.cls[:k]
+	sc.cls, sc.tvs = grow(sc.cls, k), grow(sc.tvs, k)
+	cls, tvs = sc.cls, sc.tvs
 	fill := func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			if sz.Pages[c] == 0 {
 				cls[c] = sizeClassCost{}
+				tvs[c] = 0
 				continue
 			}
 			rows := sz.Rows[c]
 			io := FragmentCost(plan, pageSize, sz.Pages[c], rows, factGranule, bmGranule)
 			tv := io.Seconds(&e.cfg.Disk)
 			hp := plan.HitProb
+			tvs[c] = tv
 			cls[c] = sizeClassCost{
-				io:          io,
-				tv:          tv,
 				sel:         hp * rows * plan.RowSel,
 				factIOs:     hp * io.FactIOs,
 				factPages:   hp * io.FactPages,
@@ -155,7 +159,7 @@ func (e *Evaluator) priceSizeClasses(plan *ClassPlan, pageSize int, sz *fragment
 	}
 	if extra == 0 {
 		fill(0, k)
-		return cls
+		return cls, tvs
 	}
 	parts := extra + 1
 	stride := (k + parts - 1) / parts
@@ -201,5 +205,5 @@ func (e *Evaluator) priceSizeClasses(plan *ClassPlan, pageSize int, sz *fragment
 	if panicVal != nil {
 		panic(panicVal)
 	}
-	return cls
+	return cls, tvs
 }

@@ -2,6 +2,7 @@ package costmodel
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/apb"
 	"repro/internal/fragment"
 	"repro/internal/schema"
+	"repro/internal/skew"
 	"repro/internal/workload"
 )
 
@@ -149,6 +151,18 @@ func naiveExpectedMaxResponse(cfg *Config, plan *ClassPlan, pl *alloc.Placement,
 	return sum / responseSamples, false
 }
 
+// fragID maps fragment-attribute values to the fragment's logical id using
+// the plan's cardinalities (identical to Fragmentation.FragmentID but
+// without re-deriving cardinalities from the schema). It is the naive
+// walk's O(dims) id rebuild that the kernel's incremental offsets replace.
+func (p *ClassPlan) fragID(vals []int) int64 {
+	id := int64(0)
+	for i, dp := range p.Dims {
+		id = id*int64(dp.FragCard) + int64(vals[i])
+	}
+	return id
+}
+
 // outcomeCombos is the number of outcome combinations of a class: the
 // product of its per-attribute set counts.
 func outcomeCombos(plan *ClassPlan, cfg *Config) int {
@@ -196,12 +210,18 @@ func compareClassCost(t *testing.T, label string, got, want ClassCost) {
 }
 
 // TestKernelMatchesNaiveReference is the kernel's core property: over
-// randomized star schemas (uniform and skewed dimensions), mixes and disk
-// pools, every per-class output of the size-class kernel is bit-identical
-// to the retained naive per-fragment reference.
+// randomized star schemas (uniform and skewed dimensions), mixes, disk
+// pools and hierarchy mappings, every per-class output of the size-class
+// kernel and the incremental hit-pattern walk is bit-identical to the
+// retained naive per-fragment reference.
 func TestKernelMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	checked, sampled := 0, 0
+	// innerFiner/innerUnref count checked classes whose innermost
+	// attribute is Finer (the walk's inner run has length 1) or
+	// Unreferenced (the inner run spans all FragCard values).
+	innerFiner, innerUnref := 0, 0
+	mappings := [2]int{}
 	for trial := 0; trial < 40; trial++ {
 		s := randomBoundStar(rng)
 		m, err := workload.RandomMix(s, 1+rng.Intn(5), rng.Int63())
@@ -213,11 +233,13 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 			d.PrefetchPages = 1 << rng.Intn(7)
 			d.BitmapPrefetchPages = d.PrefetchPages
 		}
-		cfg := &Config{Schema: s, Mix: m, Disk: d, MaxFragments: 1 << 20}
+		mapping := skew.Mapping(rng.Intn(2))
+		cfg := &Config{Schema: s, Mix: m, Disk: d, Mapping: mapping, MaxFragments: 1 << 20}
 		e, err := NewEvaluator(cfg)
 		if err != nil {
 			t.Fatalf("trial %d: evaluator: %v", trial, err)
 		}
+		mappings[mapping]++
 		cands := fragment.Enumerate(s)
 		if len(cands) > 12 {
 			rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
@@ -239,6 +261,12 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 				if outcomeCombos(&plan, cfg) > maxResponseOutcomes {
 					sampled++
 				}
+				switch plan.Dims[len(plan.Dims)-1].Case {
+				case Finer:
+					innerFiner++
+				case Unreferenced:
+					innerUnref++
+				}
 			}
 		}
 	}
@@ -250,7 +278,15 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 	if sampled == 0 {
 		t.Fatalf("no class exceeds %d outcome combinations; sampling path not pinned", maxResponseOutcomes)
 	}
-	t.Logf("kernel property: %d class costs bit-identical, %d above maxResponseOutcomes", checked, sampled)
+	if innerFiner == 0 || innerUnref == 0 {
+		t.Fatalf("innermost attribute Finer in %d and Unreferenced in %d checked classes; want both > 0",
+			innerFiner, innerUnref)
+	}
+	if mappings[skew.Interleaved] == 0 || mappings[skew.Contiguous] == 0 {
+		t.Fatalf("trials per mapping (interleaved, contiguous) = %v; want both > 0", mappings)
+	}
+	t.Logf("kernel property: %d class costs bit-identical, %d above maxResponseOutcomes, innermost Finer %d / Unreferenced %d, trials per mapping %v",
+		checked, sampled, innerFiner, innerUnref, mappings)
 }
 
 // shardedStar is a schema whose fragmented geometry has enough distinct
@@ -344,6 +380,40 @@ func TestScratchSharderRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// BenchmarkResponseWalk times the hit-pattern walk (expectedMaxResponse)
+// of every (candidate, class) pair of the sweep base, with placements and
+// per-size-class service times prepared up front.
+func BenchmarkResponseWalk(b *testing.B) {
+	base := newSweepBase(b)
+	e, cfg := base.e, base.e.cfg
+	type walk struct {
+		ev   *Evaluation
+		plan ClassPlan
+		tvs  []float64
+		seed int64
+	}
+	sc := e.NewScratch(nil).es
+	var walks []walk
+	for _, ev := range base.evals {
+		sc.resize(cfg.Disk.Disks, len(ev.Frag.Attrs()), len(cfg.Mix.Classes))
+		for i := range cfg.Mix.Classes {
+			plan := PlanClass(cfg.Schema, ev.Frag, ev.Scheme, &cfg.Mix.Classes[i])
+			_, tvs := e.priceSizeClasses(&plan, ev.Geometry.PageSize, ev.Geometry.SizeClasses(),
+				ev.FactPrefetch, ev.BitmapPrefetch, sc)
+			walks = append(walks, walk{ev, plan, slices.Clone(tvs), SampleSeed(ev.Frag, plan.Class)})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range walks {
+			w := &walks[k]
+			sc.resize(cfg.Disk.Disks, len(w.plan.Dims), len(cfg.Mix.Classes))
+			e.expectedMaxResponse(&w.plan, w.ev.Placement, w.ev.Geometry.SizeClasses(), w.tvs, w.seed, sc)
+		}
+	}
 }
 
 // BenchmarkEvaluateSizeClasses compares the size-class kernel against the

@@ -13,10 +13,15 @@ import "math/rand"
 // EvaluateWith — no pool traffic, no cross-CPU buffer migration on the
 // hot path.
 type evalScratch struct {
-	// cls is the size-class cost table of the class currently being
-	// priced (see kernel.go); every entry is overwritten by
-	// priceSizeClasses before use.
+	// cls and tvs are the size-class cost table and per-size-class
+	// service times of the class currently being priced (see kernel.go);
+	// every entry is overwritten by priceSizeClasses before use.
 	cls []sizeClassCost
+	tvs []float64
+	// classPages and fragPages hold the candidate's per-size-class and
+	// per-fragment allocation weights (allocationPages), overwritten per
+	// candidate; the placement does not retain them.
+	classPages, fragPages []int64
 	// busy accumulates per-disk busy time in evaluateClass (zeroed per
 	// class); rbusy is the hit-pattern enumeration's accumulator, kept
 	// all-zero between patterns by the enumeration itself.
@@ -27,11 +32,12 @@ type evalScratch struct {
 	// outs holds the per-dimension outcome tables of the class currently
 	// being priced (read-only tables from the Evaluator's outcome store).
 	outs []*outcomeTable
-	// sets/idx/vals/choice are the hit-pattern cursors, one entry per
-	// fragmentation attribute.
-	sets      [][]int32
-	idx, vals []int
-	choice    []int
+	// sets/idx/choice are the hit-pattern cursors and stride/base the
+	// walk's fragment-id strides and prefix offsets, one entry per
+	// fragmentation attribute; expectedMaxResponse sets them per class.
+	sets         [][]int32
+	idx, choice  []int
+	stride, base []int64
 	// plans holds the candidate's per-class plans, in mix order; Dims
 	// capacity is reused across candidates.
 	plans []ClassPlan
@@ -50,30 +56,23 @@ func newEvalScratch() *evalScratch {
 }
 
 // resize readies the scratch for a candidate with the given disk,
-// attribute and class counts. rbusy is zeroed; busy/idx/choice are zeroed
-// at their use sites; cls is sized by the kernel per class evaluation.
+// attribute and class counts. rbusy is zeroed; busy/idx/choice/base are
+// set at their use sites; cls/tvs are sized by the kernel per class
+// evaluation and classPages/fragPages by the evaluator per candidate.
 func (sc *evalScratch) resize(disks, dims, classes int) {
-	sc.busy = growFloats(sc.busy, disks)
-	sc.rbusy = growFloats(sc.rbusy, disks)
+	sc.busy = grow(sc.busy, disks)
+	sc.rbusy = grow(sc.rbusy, disks)
 	clear(sc.rbusy)
 	if cap(sc.touched) < disks {
 		sc.touched = make([]int, 0, disks)
 	}
-	if cap(sc.sets) < dims {
-		sc.sets = make([][]int32, dims)
-	}
-	sc.sets = sc.sets[:dims]
-	if cap(sc.outs) < dims {
-		sc.outs = make([]*outcomeTable, dims)
-	}
-	sc.outs = sc.outs[:dims]
-	sc.idx = growInts(sc.idx, dims)
-	sc.vals = growInts(sc.vals, dims)
-	sc.choice = growInts(sc.choice, dims)
-	if cap(sc.plans) < classes {
-		sc.plans = make([]ClassPlan, classes)
-	}
-	sc.plans = sc.plans[:classes]
+	sc.sets = grow(sc.sets, dims)
+	sc.outs = grow(sc.outs, dims)
+	sc.idx = grow(sc.idx, dims)
+	sc.choice = grow(sc.choice, dims)
+	sc.stride = grow(sc.stride, dims)
+	sc.base = grow(sc.base, dims)
+	sc.plans = grow(sc.plans, classes)
 }
 
 // getScratch returns a pooled scratch sized for the candidate.
@@ -118,16 +117,11 @@ func (s *Scratch) Reset() {
 	s.es.sharder = sharder
 }
 
-func growFloats(s []float64, n int) []float64 {
+// grow returns s resliced to length n, reallocating only when its
+// capacity is short; retained elements keep their values.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -188,9 +188,13 @@ type Geometry struct {
 // SizeClasses groups a geometry's fragments into its distinct exact
 // (rows, pages) size pairs. Hierarchical fragmentation yields geometries
 // where huge numbers of fragments share a size — a uniform dimension
-// collapses to a single class — so per-fragment cost arithmetic that
-// depends only on fragment size can be computed once per class and fanned
-// back out over ClassOf (see costmodel's size-class kernel). Classes are
+// collapses to a single class — so per-fragment arithmetic that depends
+// only on fragment size can be computed once per class and fanned back
+// out over ClassOf or multiplied by Count. Its consumers are costmodel's
+// size-class kernel (per-class I/O costs and the service times the
+// response-time walk reads through ClassOf), costmodel's allocation
+// weights (fanned out over ClassOf) and bitmap.IndexPages/IndexBytes
+// (Count × per-fragment storage). Classes are
 // numbered by first appearance in logical fragment order, which makes the
 // table deterministic for a given geometry.
 type SizeClasses struct {
