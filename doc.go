@@ -47,7 +47,12 @@
 // logical fragment order — bit-identical to the naive loop it replaced
 // and O(distinct sizes) instead of O(fragments). The granule search, the
 // branch-and-bound floor and the page math (bitmap storage and the
-// per-fragment allocation weights) share the same dedup. Each hit-outcome
+// allocation weights) share the same dedup, and so does allocation: the
+// placement takes the size classes and their weights directly, orders
+// the fragments by a counting sort over the sorted classes instead of a
+// per-fragment comparison sort, and deals runs of equal weight onto
+// level disks in cyclic rounds without touching its disk heap — the
+// same placement, fragment for fragment. Each hit-outcome
 // table is built once per costmodel.Cache (once per evaluator without
 // one), and the response-time walk over hit patterns steps fragment ids
 // incrementally and reads each hit fragment's service time from a dense

@@ -68,8 +68,8 @@ func TestScratchResetAfterPanicPoisoning(t *testing.T) {
 		for i := range es.classPages {
 			es.classPages[i] = -rng.Int63()
 		}
-		for i := range es.fragPages {
-			es.fragPages[i] = -rng.Int63()
+		for i := range es.place {
+			es.place[i] = rng.Int31()
 		}
 		for i := range es.idx {
 			es.idx[i] = rng.Int()

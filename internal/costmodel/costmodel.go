@@ -611,14 +611,13 @@ func cardenas(G, k float64) float64 {
 // configured explicitly.
 const PrefetchCap = 256
 
-// allocationPages returns the per-fragment allocation weight: fact pages
-// plus the co-located bitmap pages of every index (slices packed per
-// fragment). Both depend on a fragment only through its exact (rows,
-// pages) size, so the weight is priced once per size class into
-// classPages and fanned out over ClassOf into out — the same integers the
-// per-fragment sum produced. classPages and out are caller-owned buffers
-// of at least the class and fragment counts; out is returned resliced.
-func allocationPages(g *fragment.Geometry, scheme *bitmap.Scheme, classPages, out []int64) []int64 {
+// allocationPages fills classPages with the per-size-class allocation
+// weight: fact pages plus the co-located bitmap pages of every index
+// (slices packed per fragment). Both depend on a fragment only through its
+// exact (rows, pages) size, so fragment v weighs classPages[ClassOf[v]] —
+// the same integers a per-fragment sum produces. classPages is a
+// caller-owned buffer of at least the class count.
+func allocationPages(g *fragment.Geometry, scheme *bitmap.Scheme, classPages []int64) {
 	sz := g.SizeClasses()
 	for c, pages := range sz.Pages {
 		for _, ix := range scheme.Indexes {
@@ -626,19 +625,20 @@ func allocationPages(g *fragment.Geometry, scheme *bitmap.Scheme, classPages, ou
 		}
 		classPages[c] = pages
 	}
-	out = out[:len(sz.ClassOf)]
-	for v, c := range sz.ClassOf {
-		out[v] = classPages[c]
-	}
-	return out
 }
 
 // AllocationPages exposes the per-fragment allocation weight of an
 // evaluation (fact + co-located bitmap pages), used by multi-fact-table
 // co-allocation.
 func AllocationPages(ev *Evaluation) []int64 {
-	g := ev.Geometry
-	return allocationPages(g, ev.Scheme, make([]int64, g.SizeClasses().NumClasses()), make([]int64, len(g.Pages)))
+	sz := ev.Geometry.SizeClasses()
+	classPages := make([]int64, sz.NumClasses())
+	allocationPages(ev.Geometry, ev.Scheme, classPages)
+	out := make([]int64, len(sz.ClassOf))
+	for v, c := range sz.ClassOf {
+		out[v] = classPages[c]
+	}
+	return out
 }
 
 // EvaluateAll runs the model over a candidate list, skipping candidates

@@ -176,19 +176,15 @@ func (e *Evaluator) evaluateWithGeometry(f *fragment.Fragmentation, g *fragment.
 
 	// Allocation weight: fact pages + co-located bitmap pages per fragment
 	// (bitmap fragmentation exactly follows the fact table fragmentation;
-	// each index's slices are packed per fragment), priced per size class.
-	// Placement reads the weights without keeping them, so they live in
-	// the scratch.
-	sc.classPages = grow(sc.classPages, g.SizeClasses().NumClasses())
-	sc.fragPages = grow(sc.fragPages, len(g.Pages))
-	allocPages := allocationPages(g, scheme, sc.classPages, sc.fragPages)
-	var pl *alloc.Placement
-	var err error
-	if cfg.AllocScheme != nil {
-		pl, err = alloc.Allocate(*cfg.AllocScheme, allocPages, cfg.Disk.Disks)
-	} else {
-		pl, err = alloc.Choose(allocPages, cfg.Disk.Disks, cfg.SkewCVThreshold)
-	}
+	// each index's slices are packed per fragment), priced per size class
+	// and placed by size class — the same placement alloc.Allocate/Choose
+	// give on the per-fragment weights. Placement keeps neither the
+	// weights nor its working memory, so both live in the scratch.
+	sz := g.SizeClasses()
+	sc.classPages = grow(sc.classPages, sz.NumClasses())
+	allocationPages(g, scheme, sc.classPages)
+	pl, place, err := alloc.PlaceClasses(cfg.AllocScheme, sz.ClassOf, sc.classPages, cfg.Disk.Disks, cfg.SkewCVThreshold, sc.place)
+	sc.place = place
 	if err != nil {
 		return nil, err
 	}

@@ -26,10 +26,12 @@ import (
 // size, sharing the table's cached row sum) price sizes through
 // FragmentCost here; the response-time walk (expectedMaxResponse) reads
 // each hit fragment's service time from the dense per-size-class array
-// tvs this kernel fills; the page math — allocationPages (per-fragment
+// tvs this kernel fills; the page math — allocationPages (per-size-class
 // allocation weights) and bitmap.IndexPages/IndexBytes (scheme storage)
-// — prices each size class once and multiplies or fans out; and
-// lowerbound.go's admissible floor memoizes its per-row service-time
+// — prices each size class once and multiplies by Count; allocation
+// (alloc.PlaceClasses) consumes those class weights with ClassOf
+// directly, so greedy placement sorts classes, not fragments, and no
+// per-fragment weight array is built; and lowerbound.go's admissible floor memoizes its per-row service-time
 // kernel across candidates (boundState.floorMemo) — one size, the single
 // fact row, priced once per distinct selectivity.
 

@@ -2,9 +2,11 @@ package costmodel
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
+	"repro/internal/alloc"
 	"repro/internal/apb"
 	"repro/internal/bitmap"
 	"repro/internal/fragment"
@@ -29,14 +31,14 @@ func naiveAllocationPages(g *fragment.Geometry, scheme *bitmap.Scheme) []int64 {
 // TestPageMathMatchesPerFragmentReference pins the per-size-class page
 // math to per-fragment sums: over random uniform and skewed geometries
 // with planned bitmap schemes, allocationPages (and AllocationPages)
-// equals naiveAllocationPages, and bitmap.IndexPages, IndexBytes,
-// SchemePages and SchemeBytes equal their per-fragment totals. The
-// per-class and per-fragment buffers are reused across candidates and
-// left dirty on purpose.
+// fanned out over ClassOf (and AllocationPages) equals
+// naiveAllocationPages, and bitmap.IndexPages, IndexBytes, SchemePages and
+// SchemeBytes equal their per-fragment totals. The per-class buffer is
+// reused across candidates and left dirty on purpose.
 func TestPageMathMatchesPerFragmentReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	checked, skewed, indexed := 0, 0, 0
-	var classPages, fragPages []int64
+	var classPages []int64
 	for trial := 0; trial < 40; trial++ {
 		s := randomBoundStar(rng)
 		m, err := workload.RandomMix(s, 1+rng.Intn(5), rng.Int63())
@@ -63,10 +65,13 @@ func TestPageMathMatchesPerFragmentReference(t *testing.T) {
 			label := f.Name(s)
 			sz := g.SizeClasses()
 			classPages = grow(classPages, sz.NumClasses())
-			fragPages = grow(fragPages, len(g.Pages))
 			want := naiveAllocationPages(g, scheme)
-			if got := allocationPages(g, scheme, classPages, fragPages); !slices.Equal(got, want) {
-				t.Fatalf("trial %d %s: allocationPages differs from the per-fragment reference", trial, label)
+			allocationPages(g, scheme, classPages)
+			for v, c := range sz.ClassOf {
+				if classPages[c] != want[v] {
+					t.Fatalf("trial %d %s: fragment %d weighs %d by class %d, per-fragment reference %d",
+						trial, label, v, classPages[c], c, want[v])
+				}
 			}
 			if got := AllocationPages(&Evaluation{Geometry: g, Scheme: scheme}); !slices.Equal(got, want) {
 				t.Fatalf("trial %d %s: AllocationPages differs from the per-fragment reference", trial, label)
@@ -112,6 +117,89 @@ func TestPageMathMatchesPerFragmentReference(t *testing.T) {
 	t.Logf("page math: %d candidates exact, %d with several size classes, %d with indexes", checked, skewed, indexed)
 }
 
+// TestPlacementBySizeClassMatchesPerFragment pins the evaluator's
+// size-class placement to the per-fragment entry points: over random
+// randomBoundStar schemas, disk counts and skew thresholds, the Placement
+// of an evaluation under Choose's rule (nil AllocScheme) equals
+// alloc.Choose on AllocationPages, and under a forced GreedySize equals
+// alloc.Allocate. The sweep must cover uniform geometries (one size
+// class), skewed ones (several) and ones where every fragment is its own
+// class.
+func TestPlacementBySizeClassMatchesPerFragment(t *testing.T) {
+	rng := rand.New(rand.NewSource(151))
+	greedy := alloc.GreedySize
+	var uniform, skewed, distinct, chosenGreedy int
+	for trial := 0; trial < 30; trial++ {
+		s := randomBoundStar(rng)
+		if trial%2 == 0 {
+			// A strongly skewed dimension gives every value its own share.
+			s.Dimensions[rng.Intn(len(s.Dimensions))].SkewTheta = 0.5 + rng.Float64()
+		}
+		m, err := workload.RandomMix(s, 1+rng.Intn(4), rng.Int63())
+		if err != nil {
+			t.Fatalf("trial %d: random mix: %v", trial, err)
+		}
+		d := apb.Disk(1 + rng.Intn(70))
+		cv := []float64{0, 0.05, 0.5}[rng.Intn(3)]
+		choose, err := NewEvaluator(&Config{Schema: s, Mix: m, Disk: d, MaxFragments: 1 << 16, SkewCVThreshold: cv})
+		if err != nil {
+			t.Fatalf("trial %d: evaluator: %v", trial, err)
+		}
+		forced, err := NewEvaluator(&Config{Schema: s, Mix: m, Disk: d, MaxFragments: 1 << 16, AllocScheme: &greedy})
+		if err != nil {
+			t.Fatalf("trial %d: evaluator: %v", trial, err)
+		}
+		cands := fragment.Enumerate(s)
+		if len(cands) > 10 {
+			rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+			cands = cands[:10]
+		}
+		for _, f := range cands {
+			ev, err := choose.Evaluate(f)
+			if err != nil {
+				continue
+			}
+			label := f.Name(s)
+			pages := AllocationPages(ev)
+			want, err := alloc.Choose(pages, d.Disks, cv)
+			if err != nil {
+				t.Fatalf("trial %d %s: Choose: %v", trial, label, err)
+			}
+			if !reflect.DeepEqual(ev.Placement, want) {
+				t.Fatalf("trial %d %s: size-class placement differs from Choose on AllocationPages", trial, label)
+			}
+			if want.Scheme == alloc.GreedySize {
+				chosenGreedy++
+			}
+			ev, err = forced.Evaluate(f)
+			if err != nil {
+				t.Fatalf("trial %d %s: forced greedy: %v", trial, label, err)
+			}
+			want, err = alloc.Allocate(alloc.GreedySize, pages, d.Disks)
+			if err != nil {
+				t.Fatalf("trial %d %s: Allocate: %v", trial, label, err)
+			}
+			if !reflect.DeepEqual(ev.Placement, want) {
+				t.Fatalf("trial %d %s: forced greedy size-class placement differs from Allocate", trial, label)
+			}
+			switch sz := ev.Geometry.SizeClasses(); {
+			case sz.NumClasses() == 1:
+				uniform++
+			case sz.NumClasses() == len(sz.ClassOf):
+				distinct++
+			default:
+				skewed++
+			}
+		}
+	}
+	if uniform == 0 || skewed == 0 || distinct == 0 || chosenGreedy == 0 {
+		t.Fatalf("coverage: %d uniform, %d skewed, %d all-distinct geometries; Choose picked greedy %d times",
+			uniform, skewed, distinct, chosenGreedy)
+	}
+	t.Logf("placements: %d uniform, %d skewed, %d all-distinct geometries; Choose picked greedy %d times",
+		uniform, skewed, distinct, chosenGreedy)
+}
+
 // sweepBase is the what-if benchmark's pinned base configuration (APB-1,
 // 4M rows, 32 disks) with every candidate that passes the advisor's
 // default thresholds evaluated once.
@@ -151,7 +239,7 @@ func newSweepBase(b *testing.B) *sweepBase {
 }
 
 // BenchmarkAllocationWeights times the per-candidate page math of an
-// evaluation — the scheme's page footprint and the per-fragment
+// evaluation — the scheme's page footprint and the per-size-class
 // allocation weights — over every candidate of the sweep base.
 func BenchmarkAllocationWeights(b *testing.B) {
 	base := newSweepBase(b)
@@ -163,8 +251,33 @@ func BenchmarkAllocationWeights(b *testing.B) {
 			g := ev.Geometry
 			ev.Scheme.SchemePages(g)
 			sc.classPages = grow(sc.classPages, g.SizeClasses().NumClasses())
-			sc.fragPages = grow(sc.fragPages, len(g.Pages))
-			allocationPages(g, ev.Scheme, sc.classPages, sc.fragPages)
+			allocationPages(g, ev.Scheme, sc.classPages)
+		}
+	}
+}
+
+// BenchmarkGreedyPlacement times greedy allocation of every candidate of
+// the sweep base: the size-class placement the evaluator runs, with
+// GreedySize forced. The per-class weights are computed up front, so only
+// the placement is timed.
+func BenchmarkGreedyPlacement(b *testing.B) {
+	base := newSweepBase(b)
+	classPages := make([][]int64, len(base.evals))
+	for i, ev := range base.evals {
+		classPages[i] = make([]int64, ev.Geometry.SizeClasses().NumClasses())
+		allocationPages(ev.Geometry, ev.Scheme, classPages[i])
+	}
+	greedy := alloc.GreedySize
+	disks := base.e.cfg.Disk.Disks
+	var buf []int32
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, ev := range base.evals {
+			var err error
+			if _, buf, err = alloc.PlaceClasses(&greedy, ev.Geometry.SizeClasses().ClassOf, classPages[j], disks, 0, buf); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -18,10 +18,12 @@ type evalScratch struct {
 	// every entry is overwritten by priceSizeClasses before use.
 	cls []sizeClassCost
 	tvs []float64
-	// classPages and fragPages hold the candidate's per-size-class and
-	// per-fragment allocation weights (allocationPages), overwritten per
-	// candidate; the placement does not retain them.
-	classPages, fragPages []int64
+	// classPages holds the candidate's per-size-class allocation weights
+	// (allocationPages), overwritten per candidate; place is
+	// alloc.PlaceClasses' working memory (class order, ranks, rank
+	// offsets, fragment order, disk heap). The placement retains neither.
+	classPages []int64
+	place      []int32
 	// busy accumulates per-disk busy time in evaluateClass (zeroed per
 	// class); rbusy is the hit-pattern enumeration's accumulator, kept
 	// all-zero between patterns by the enumeration itself.
@@ -58,7 +60,8 @@ func newEvalScratch() *evalScratch {
 // resize readies the scratch for a candidate with the given disk,
 // attribute and class counts. rbusy is zeroed; busy/idx/choice/base are
 // set at their use sites; cls/tvs are sized by the kernel per class
-// evaluation and classPages/fragPages by the evaluator per candidate.
+// evaluation, classPages by the evaluator and place by alloc.PlaceClasses
+// per candidate.
 func (sc *evalScratch) resize(disks, dims, classes int) {
 	sc.busy = grow(sc.busy, disks)
 	sc.rbusy = grow(sc.rbusy, disks)

@@ -1,6 +1,9 @@
 package fragment
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/apb"
@@ -74,5 +77,42 @@ func TestEnumerateFilteredSeqMatchesSlices(t *testing.T) {
 	}
 	if k != len(kept) || x != len(excluded) {
 		t.Fatalf("streamed %d/%d, slices %d/%d", k, x, len(kept), len(excluded))
+	}
+}
+
+// formatKey is the retained per-call Key formatting the stored key
+// replaced.
+func formatKey(f *Fragmentation) string {
+	parts := make([]string, len(f.attrs))
+	for i, a := range f.attrs {
+		parts[i] = fmt.Sprintf("%d:%d", a.Dim, a.Level)
+	}
+	return strings.Join(parts, "|")
+}
+
+// TestKeyMatchesFormatting: the key built at construction equals the
+// "dim:level|dim:level" formatting for every APB-1 candidate (built by
+// EnumerateSeq) and for New with unsorted attributes.
+func TestKeyMatchesFormatting(t *testing.T) {
+	s := apb.Schema(1_000_000)
+	n := 0
+	for f := range EnumerateSeq(s) {
+		if f.Key() != formatKey(f) {
+			t.Fatalf("candidate %s: Key %q, formatted %q", f.Name(s), f.Key(), formatKey(f))
+		}
+		// The same attributes, unsorted: New normalizes them first.
+		rev := slices.Clone(f.Attrs())
+		slices.Reverse(rev)
+		g, err := New(s, rev...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.Key() != f.Key() || g.Key() != formatKey(g) {
+			t.Fatalf("New(reversed %s): Key %q, formatted %q, want %q", f.Name(s), g.Key(), formatKey(g), f.Key())
+		}
+		n++
+	}
+	if n != int(EnumerationSize(s)) {
+		t.Fatalf("checked %d candidates, want %d", n, EnumerationSize(s))
 	}
 }
